@@ -1,7 +1,10 @@
 """Shared configuration for the benchmark suite.
 
-Every table and figure of the paper's evaluation has one module here
-(see DESIGN.md §7 for the index).  Benchmarks run scaled-down
+Every table and figure of the paper's evaluation has one module here,
+named after it (``test_fig7_*``, ``test_table1_*``, ...); the
+design-choice ablations live in ``test_ablations.py``.  System
+performance of the serving stack is measured by the ledger in
+``bench/`` (see ``bench/README.md``), not here.  Benchmarks run scaled-down
 parameters so the full suite finishes in minutes; the *shapes* of the
 paper's results — who wins, by roughly what factor, where crossovers
 fall — are asserted, not the absolute numbers (our substrate is a
@@ -37,7 +40,7 @@ def pytest_configure(config):
     )
 
 
-_BENCH_DIR = __file__.rsplit("/", 1)[0]
+_BENCHMARKS_DIR = __file__.rsplit("/", 1)[0]
 
 
 def pytest_collection_modifyitems(items):
@@ -45,5 +48,5 @@ def pytest_collection_modifyitems(items):
     # belongs to the slow tier (tier-1 deselects it via pytest.ini).
     # The hook sees the whole session's items, so scope by path.
     for item in items:
-        if str(item.fspath).startswith(_BENCH_DIR):
+        if str(item.fspath).startswith(_BENCHMARKS_DIR):
             item.add_marker(pytest.mark.slow)

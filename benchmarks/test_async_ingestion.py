@@ -14,20 +14,14 @@ two latencies separately:
 
 Every configuration is differential-tested against the synchronous
 ``rivm-batch`` run on the identical stream — the wrapper re-times
-maintenance, never changes its result.  Measurements land in
-``BENCH_async.json`` at the repo root.
+maintenance, never changes its result.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.harness import (
-    bench_environment,
     format_table,
     measure_ingestion,
     prepare_stream,
@@ -52,30 +46,10 @@ POLICIES = {
     ),
 }
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_async.json"
-
 
 @pytest.mark.paper_experiment("async ingestion: split latency per policy")
 def test_async_ingestion_split_latency():
     rows = []
-    payload = {
-        "bench": "async_ingestion",
-        "unit": "seconds",
-        "semantics": (
-            "ingestion = enqueue wait (producer blocking) and queue "
-            "residency (enqueue -> owning flush complete); maintenance "
-            "= inner on_batch wall time per flush; all percentiles "
-            "over one stream per (query, policy)"
-        ),
-        "inner_backend": "rivm-batch",
-        "policies": {
-            name: {k: v for k, v in opts.items()}
-            for name, opts in POLICIES.items()
-        },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": bench_environment(),
-        "queries": {},
-    }
     for query, params in PARAMS.items():
         prepared = prepare_stream(
             TPCH_QUERIES[query],
@@ -84,28 +58,12 @@ def test_async_ingestion_split_latency():
             max_batches=params["max_batches"],
         )
         reference = run_engine(prepared, "rivm-batch")
-        entry = {
-            "params": params,
-            "n_tuples": prepared.n_tuples,
-            "sync_tps": reference.throughput,
-            "policies": {},
-        }
         for policy_name, options in POLICIES.items():
             result = measure_ingestion(prepared, "rivm-batch", **options)
             assert result.snapshot == reference.result, (
                 f"{query}/{policy_name} diverged from the synchronous run"
             )
             summary = result.summary()
-            entry["policies"][policy_name] = {
-                "throughput_tps": result.throughput,
-                "flushes": summary["flushes"],
-                "mean_flush_size": summary["mean_flush_size"],
-                "ingestion": {
-                    "enqueue_wait_s": summary["enqueue_wait_s"],
-                    "ingest_delay_s": summary["ingest_delay_s"],
-                },
-                "maintenance": summary["maintenance_s"],
-            }
             enqueue_p50 = summary["enqueue_wait_s"]["p50"]
             maintenance_p50 = summary["maintenance_s"]["p50"]
             assert enqueue_p50 < maintenance_p50, (
@@ -125,9 +83,6 @@ def test_async_ingestion_split_latency():
                     f"{summary['maintenance_s']['p95'] * 1e3:.2f}",
                 )
             )
-        payload["queries"][query] = entry
-
-    _RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(
         format_table(

@@ -29,23 +29,16 @@ payload with ``met`` flags; the wall-parity target is hard-asserted
 only where it is physically observable (cpu_count >= 4 — on a 1-core
 runner all four workers time-share one core, so wall clock measures
 the OS scheduler, not the data plane).
-
-Measurements land in ``BENCH_multiproc.json`` at the repo root so the
-scale-out trajectory accumulates across PRs.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.exec import create_backend
 from repro.harness import (
-    bench_environment,
     format_table,
     prepare_stream,
     run_engine,
@@ -68,8 +61,6 @@ PARAMS = {
 TARGET_Q1_SCALEOUT = 3.2
 WALL_PARITY_QUERIES = ("Q1", "Q6")
 
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_multiproc.json"
-
 
 @pytest.mark.paper_experiment("process-parallel scale-out")
 def test_multiproc_scaling_vs_single_process():
@@ -84,8 +75,6 @@ def test_multiproc_scaling_vs_single_process():
         ),
         "worker_counts": list(WORKER_COUNTS),
         "data_planes": list(DATA_PLANES),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": bench_environment(),
         "queries": {},
     }
     best_shm_speedup = 0.0
@@ -172,7 +161,6 @@ def test_multiproc_scaling_vs_single_process():
     }
     payload["roadmap_targets"] = targets
     payload["best_shm_scaleout_speedup_4w_vs_1w"] = best_shm_speedup
-    _RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(
         format_table(

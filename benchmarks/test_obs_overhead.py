@@ -16,19 +16,16 @@ estimator for a CPU-bound loop, since scheduler jitter only ever adds
 time.  The guardrail asserted here — ring-mode ingest time within 5%
 of off — is the budget ISSUE 8 grants the always-on default; the
 NDJSON tee is reported but unasserted (it pays a write+flush per span
-by design).  Results land in ``BENCH_obs.json`` at the repo root.
+by design).
 """
 
 from __future__ import annotations
 
-import json
-import statistics
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.harness import bench_environment, format_table, prepare_stream
+from repro.harness import format_table, prepare_stream
 from repro.obs import Tracer
 from repro.service import ViewService
 from repro.workloads import TPCH_QUERIES
@@ -46,8 +43,6 @@ REPEATS = 7
 
 #: the ISSUE 8 budget for the always-on ring sink
 RING_BUDGET = 1.05
-
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
 def _run_once(prepared, tracer: Tracer) -> float:
@@ -71,16 +66,6 @@ def _run_once(prepared, tracer: Tracer) -> float:
 
 @pytest.mark.paper_experiment("telemetry overhead: trace sinks vs off")
 def test_tracing_overhead_within_budget(tmp_path):
-    payload = {
-        "bench": "obs_overhead",
-        "unit": "seconds (best ingest wall time over interleaved runs)",
-        "modes": ["off", "ring", "ndjson"],
-        "ring_budget": RING_BUDGET,
-        "repeats": REPEATS,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "environment": bench_environment(),
-        "queries": {},
-    }
     rows = []
     for query, params in PARAMS.items():
         prepared = prepare_stream(TPCH_QUERIES[query], **params)
@@ -103,16 +88,6 @@ def test_tracing_overhead_within_budget(tmp_path):
                 tracer.close()
         best = {m: min(ts) for m, ts in times.items()}
         ratios = {m: best[m] / best["off"] for m in best}
-        payload["queries"][query] = {
-            "params": params,
-            "n_tuples": prepared.n_tuples,
-            "n_batches": len(prepared.batches),
-            "best_s": best,
-            "median_s": {
-                m: statistics.median(ts) for m, ts in times.items()
-            },
-            "ratio_vs_off": ratios,
-        }
         rows.append((
             query,
             len(prepared.batches),
@@ -134,4 +109,3 @@ def test_tracing_overhead_within_budget(tmp_path):
         rows,
         title="trace-sink overhead (best ingest time)",
     ))
-    _RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -10,8 +10,8 @@ The most common entry points are re-exported here:
 >>> from repro import compile_query, RecursiveIVMEngine, parse_sql
 >>> from repro import compile_distributed, SimulatedCluster
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for a quickstart and ARCHITECTURE.md for the layer map
+(which module implements which part of the paper).
 """
 
 from repro.ring import GMR

@@ -119,25 +119,10 @@ def cmd_list_backends(_args) -> int:
 
 
 def _resolve_backend(args, default: str = "rivm-batch") -> str:
-    """``--backend`` with ``--strategy`` as a deprecated hidden alias."""
-    import warnings
-
+    """``--backend``, checked against the registry."""
     from repro.exec import available_backends, is_registered
 
-    backend = args.backend
-    if getattr(args, "strategy", None):
-        warnings.warn(
-            "--strategy is deprecated; use --backend instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        print(
-            "warning: --strategy is deprecated; use --backend",
-            file=sys.stderr,
-        )
-        if backend is None:
-            backend = args.strategy
-    backend = backend or default
+    backend = args.backend or default
     if not is_registered(backend):
         raise SystemExit(
             f"unknown backend {backend!r}; choose one of: "
@@ -685,9 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=None,
                    help="execution backend (default rivm-batch; "
                         "see 'list-backends')")
-    # Deprecated alias of --backend; hidden from --help, kept so old
-    # invocations keep working (with a warning).
-    p.add_argument("--strategy", default=None, help=argparse.SUPPRESS)
     p.add_argument("--interpreted", action="store_true",
                    help="run statements through the interpreted evaluator "
                         "instead of compile-once pipelines")

@@ -44,7 +44,7 @@ import threading
 import time
 
 from repro.exec import BackendError
-from repro.net import Client, NetConnectError, NetError
+from repro.net import Client, NetError
 
 __all__ = ["StreamMerger"]
 
@@ -250,10 +250,6 @@ class StreamMerger:
             reader.stop()
         for _, reader in victims:
             reader.join(timeout=5)
-
-    def views_of(self, shard: int) -> list[str]:
-        with self._cond:
-            return [v for s, v in self._readers if s == shard]
 
     def streams(self) -> list[tuple[int, str, tuple[str, int]]]:
         """Live (shard, view, endpoint) triples, for /shards reporting."""

@@ -113,18 +113,6 @@ class FaultTolerantCluster:
     def snapshot(self) -> GMR:
         return self.cluster.snapshot()
 
-    def result(self) -> GMR:
-        """Deprecated alias of :meth:`snapshot` (kept for parity with
-        :meth:`repro.exec.ExecutionBackend.result`)."""
-        import warnings
-
-        warnings.warn(
-            "FaultTolerantCluster.result() is deprecated; call snapshot()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot()
-
     # ------------------------------------------------------------------
     # Batch processing with checkpoints and failures
     # ------------------------------------------------------------------

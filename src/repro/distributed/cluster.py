@@ -322,9 +322,6 @@ class SimulatedCluster(ExecutionBackend):
             f"single transformer form violated: transformer over {e!r}"
         )
 
-    def _ref_is_delta(self, e: Expr) -> bool:
-        return isinstance(e, DeltaRel)
-
     def _collect_distributed(self, e: Expr) -> GMR:
         """Collect a reference's full contents from the workers.
 

@@ -47,7 +47,7 @@ import threading
 from repro.eval import Database
 from repro.net.wire import decode_gmr
 from repro.ring import GMR
-from repro.service import ServiceError, ViewDelta, ViewService
+from repro.service import ServiceError, ViewService
 from repro.service.service import ViewHandle
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.wal import (
@@ -313,51 +313,23 @@ class DurableViewService(ViewService):
         if not self._replaying:
             self.wal.append_drop(name)
 
-    def _publish(self, handle: ViewHandle, relation, seq=None,
-                 delta_source=None, parent=None, seqs=None):
-        """Like the base publish, with two durable differences: the
-        delta is *always* computed (never coalesced into a later event
-        — every seq's delta must reach the log), and it is appended to
-        the WAL *before* any subscriber sees it (so a ``from_seq``
+    #: every seq's delta must reach the log, so it is computed even
+    #: while nobody is subscribed (never coalesced into a later event)
+    _keeps_delta_log = True
+
+    def _log_delta(self, handle: ViewHandle, relation, seq, delta, seqs):
+        """Append the delta to the WAL.  The base publish calls this
+        *before* any subscriber sees the delta, so a ``from_seq``
         handoff that scans the log after subscribing can never miss an
-        event: whatever its live queue missed is in the scan)."""
-        live = [s for s in handle.subscriptions if s.active]
-        if len(live) != len(handle.subscriptions):
-            for sub in [s for s in handle.subscriptions if not s.active]:
-                try:
-                    handle.subscriptions.remove(sub)
-                except ValueError:
-                    pass
-        delta = (
-            delta_source() if delta_source is not None
-            else handle.backend.last_delta()
-        )
-        if delta.is_zero():
-            return
-        seq_val = self._seq if seq is None else seq
+        event: whatever its live queue missed is in the scan."""
         with self._delta_log_lock:
-            if seq_val > self._delta_high.get(handle.name, 0):
+            if seq > self._delta_high.get(handle.name, 0):
                 self.wal.append_delta(
-                    seq_val, handle.name, relation, delta, seqs=seqs,
+                    seq, handle.name, relation, delta, seqs=seqs,
                 )
-                self._delta_high[handle.name] = seq_val
+                self._delta_high[handle.name] = seq
             # else: replay recomputed a delta the pre-crash log already
             # covers (its record survived) — deliverable, not loggable.
-        if not live:
-            return
-        span = self.tracer.span(
-            "publish", parent,
-            view=handle.name, relation=relation, seq=seq_val,
-            subscribers=len(live),
-        )
-        event = ViewDelta(
-            handle.name, relation, seq_val, delta, trace=span.ctx
-        )
-        handle.deltas_counter.inc()
-        for sub in live:
-            if sub.active:
-                sub.callback(event)
-        span.finish()
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -35,9 +35,6 @@ class Database:
             self.views[name] = g
         return g
 
-    def has_view(self, name: str) -> bool:
-        return name in self.views
-
     def apply_update(self, name: str, update: GMR) -> None:
         """Merge an update batch into a view's contents (``+=``)."""
         self.get_view(name).add_inplace(update)

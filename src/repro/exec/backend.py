@@ -19,7 +19,6 @@ caller.  See ARCHITECTURE.md for the how-to.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,21 +97,6 @@ class ExecutionBackend(abc.ABC):
         if prev is None:
             return GMR(dict(current.data))
         return current - prev
-
-    def result(self) -> GMR:
-        """Deprecated alias of :meth:`snapshot` (the engines' historical
-        name).
-
-        .. deprecated::
-           Call :meth:`snapshot` instead; ``result()`` will be removed
-           once external callers have migrated.
-        """
-        warnings.warn(
-            "ExecutionBackend.result() is deprecated; call snapshot()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot()
 
 
 class NativeChangefeed:

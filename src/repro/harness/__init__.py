@@ -17,17 +17,13 @@ produces the same rows/series the paper reports:
   stream);
 * :mod:`repro.harness.ingest` — async-ingestion runs (ingestion vs
   maintenance latency through the ``async:<backend>`` wrappers);
-* :mod:`repro.harness.network` — over-the-wire serving runs (the same
-  multi-view workload behind a :class:`~repro.net.ViewServer` socket,
-  driven by N concurrent client connections);
-* :mod:`repro.harness.cluster` — sharded serving runs (the network
-  workload scattered over N shard servers behind a
-  :class:`~repro.cluster.ClusterRouter`);
 * :mod:`repro.harness.report` — plain-text table/series rendering.
 
 The ``benchmarks/`` directory contains one pytest-benchmark target per
 table/figure; each is a thin wrapper over these runners with scaled-down
-parameters (see DESIGN.md §1 for why scaled runs preserve the shapes).
+parameters.  System performance across the serving stack (HTTP, WAL,
+router) is measured by the ledger in ``bench/`` (see ``bench/README.md``),
+not here.
 """
 
 from repro.harness.setup import (
@@ -59,26 +55,13 @@ from repro.harness.ablation import (
     specialization_ablation,
 )
 from repro.harness.ingest import IngestionResult, measure_ingestion
-from repro.harness.report import (
-    bench_environment,
-    format_series,
-    format_table,
-)
+from repro.harness.report import format_series, format_table
 from repro.harness.service import (
     ServiceResult,
     ViewDef,
     ViewStats,
     measure_service_throughput,
     prepare_service_run,
-)
-from repro.harness.network import (
-    NetViewStats,
-    NetworkResult,
-    measure_network_throughput,
-)
-from repro.harness.cluster import (
-    ClusterResult,
-    measure_cluster_throughput,
 )
 
 __all__ = [
@@ -102,7 +85,6 @@ __all__ = [
     "domain_extraction_ablation",
     "preaggregation_ablation",
     "specialization_ablation",
-    "bench_environment",
     "format_table",
     "format_series",
     "ViewDef",
@@ -110,11 +92,6 @@ __all__ = [
     "ServiceResult",
     "measure_service_throughput",
     "prepare_service_run",
-    "NetViewStats",
-    "NetworkResult",
-    "measure_network_throughput",
-    "ClusterResult",
-    "measure_cluster_throughput",
     "IngestionResult",
     "measure_ingestion",
 ]

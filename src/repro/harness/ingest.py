@@ -7,7 +7,7 @@ the decoupling makes separately measurable: ingestion latency (enqueue
 wait + queue residency) versus maintenance latency (the inner engine's
 per-flush trigger time), per batching policy.
 ``benchmarks/test_async_ingestion.py`` sweeps the policies on Q1/Q6/Q17
-and emits ``BENCH_async.json``.
+and asserts ingestion stays cheaper than maintenance under each.
 """
 
 from __future__ import annotations

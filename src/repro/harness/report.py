@@ -2,8 +2,7 @@
 
 The benchmark targets print paper-style rows through these helpers so
 that ``pytest benchmarks/ -s`` output can be compared against the
-paper's tables/figures line by line (EXPERIMENTS.md collects the
-comparisons).
+paper's tables/figures line by line.
 """
 
 from __future__ import annotations
@@ -57,24 +56,3 @@ def _fmt(v) -> str:
         return f"{v:.3f}".rstrip("0").rstrip(".")
     return str(v)
 
-
-def bench_environment() -> dict:
-    """Machine/runtime metadata stamped into every ``BENCH_*.json``.
-
-    Absolute throughputs from different machines are not comparable;
-    recording where a number came from is what makes the accumulated
-    perf trajectory across PRs interpretable (a regression on a 1-core
-    CI runner is not a regression on an 8-core box).
-    """
-    import os
-    import platform
-    import sys
-
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "executable": sys.executable.rsplit("/", 1)[-1],
-    }

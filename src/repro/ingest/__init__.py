@@ -13,8 +13,8 @@ process-parallel one, gains asynchronous ingestion without changing.
 Ingestion latency (enqueue wait, queue residency) and maintenance
 latency (inner ``on_batch`` per flush) are recorded separately in
 :class:`~repro.metrics.IngestMetrics`; ``benchmarks/
-test_async_ingestion.py`` sweeps the policies and emits
-``BENCH_async.json``.  See ARCHITECTURE.md ("Async ingestion").
+test_async_ingestion.py`` sweeps the policies.  See ARCHITECTURE.md
+("Async ingestion").
 """
 
 from repro.ingest.backend import (

@@ -327,24 +327,29 @@ class Client:
         a non-durable server and 410 when N is below the server's
         resume horizon (a checkpoint truncated the log there; fall back
         to ``initial=True`` for a full snapshot).
+
+        Any transport failure before the reply head arrives (refused,
+        reset, a server closing under us) raises
+        :class:`NetConnectError`: a subscription has no side effect,
+        so it is always safe to retry.
         """
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout
-        )
-        try:
-            conn.connect()
-        except OSError as exc:
-            conn.close()
-            raise NetConnectError(
-                f"cannot connect to {self.host}:{self.port}: {exc}"
-            ) from exc
         path = f"/views/{view}/deltas"
         if initial:
             path += "?initial=1"
         elif from_seq is not None:
             path += f"?from_seq={int(from_seq)}"
-        conn.request("GET", path, headers=self._headers())
-        resp = conn.getresponse()
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=timeout
+        )
+        try:
+            conn.connect()
+            conn.request("GET", path, headers=self._headers())
+            resp = conn.getresponse()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise NetConnectError(
+                f"cannot subscribe at {self.host}:{self.port}: {exc}"
+            ) from exc
         if resp.status >= 400:
             data = resp.read()
             conn.close()

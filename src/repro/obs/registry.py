@@ -361,30 +361,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Exposition
     # ------------------------------------------------------------------
-    def collect(self) -> list["Sample"]:
-        """Flat samples (histograms expanded to bucket/sum/count)."""
-        out: list[Sample] = []
-        with self._lock:
-            families = list(self._families.values())
-        for fam in families:
-            with fam._lock:
-                children = dict(fam.children)
-            for key, child in sorted(children.items()):
-                labels = dict(key)
-                if fam.kind == "histogram":
-                    for upper, cum in child.cumulative():
-                        out.append(Sample(
-                            fam.name + "_bucket",
-                            {**labels, "le": _fmt_value(upper)},
-                            cum,
-                        ))
-                    out.append(Sample(fam.name + "_sum", labels, child.sum))
-                    out.append(Sample(fam.name + "_count", labels,
-                                      child.count))
-                else:
-                    out.append(Sample(fam.name, labels, child.value))
-        return out
-
     def render(self) -> str:
         """Prometheus text exposition (``text/plain; version=0.0.4``)."""
         lines: list[str] = []

@@ -45,8 +45,8 @@ belong to the service lifecycle, not to one seq):
 Spans go to a pluggable sink: an in-memory ring buffer by default
 (served by ``GET /trace/recent``), optionally tee'd to an NDJSON file
 via ``--trace-out``.  A disabled tracer costs one attribute check per
-span — the overhead guardrail (BENCH_obs.json) holds the default
-ring-buffer mode to ≤5% vs off.
+span — the overhead guardrail (``benchmarks/test_obs_overhead.py``)
+holds the default ring-buffer mode to ≤5% vs off.
 """
 
 from __future__ import annotations
@@ -246,12 +246,6 @@ class Tracer:
             self._out_file = open(out, "a", encoding="utf-8")
 
     # ------------------------------------------------------------------
-    def begin(self, parent: TraceContext | None = None) -> TraceContext:
-        """The admission-time context: new trace unless joining one."""
-        if parent is not None:
-            return parent
-        return TraceContext(_new_trace_id(), _new_span_id())
-
     def span(self, stage: str, parent: TraceContext | None = None,
              **attrs) -> SpanHandle | _NullHandle:
         """Open a span; ``parent=None`` starts a fresh trace."""

@@ -73,10 +73,6 @@ class WorkerJournal:
         self.checkpoint = views
         self.committed.clear()
 
-    def replay_cost(self) -> int:
-        """Entries a replay would re-send (diagnostics)."""
-        return len(self.checkpoint) + len(self.committed)
-
 
 class WorkerSupervisor:
     """Restart policy + journals for all workers of one backend."""

@@ -1044,22 +1044,24 @@ class ViewService:
         parent: TraceContext | None = None,
         seqs: list[int] | None = None,
     ) -> None:
-        """Compute and fan out one changefeed event, if anyone listens.
+        """Compute, log and fan out one changefeed event.
 
-        When no subscription is active the (O(|view|)) delta is not
-        computed; the backend's changefeed accumulates, so a later
-        subscriber's first event covers everything since the last
-        delivery and accumulation stays exact.  ``delta_source``
-        overrides where the delta is read from (the async flush hook
-        passes the inner changefeed; the default is the backend's own
-        ``last_delta``).  ``seq`` stamps the event: producers pass the
-        seq they assigned under the lock, the async flush hook passes
-        the highest seq merged into the flush; ``None`` (unstamped
-        entries from callers outside the service) falls back to the
-        current service seq.  ``seqs`` is the flush hook's full
-        seq-coverage list (every batch merged into a coalesced event) —
-        recorded on the publish span here, and written into the delta
-        log by the durable subclass.
+        When no subscription is active and the service keeps no delta
+        log, the (O(|view|)) delta is not computed; the backend's
+        changefeed accumulates, so a later subscriber's first event
+        covers everything since the last delivery and accumulation
+        stays exact.  A computed, non-empty delta goes through
+        :meth:`_log_delta` *before* any subscriber sees it.
+        ``delta_source`` overrides where the delta is read from (the
+        async flush hook passes the inner changefeed; the default is
+        the backend's own ``last_delta``).  ``seq`` stamps the event:
+        producers pass the seq they assigned under the lock, the async
+        flush hook passes the highest seq merged into the flush;
+        ``None`` (unstamped entries from callers outside the service)
+        falls back to the current service seq.  ``seqs`` is the flush
+        hook's full seq-coverage list (every batch merged into a
+        coalesced event) — recorded on the publish span and passed to
+        the delta log.
 
         Deliberately takes **no** service lock: it runs both on
         producer threads (already holding the lock) and on async
@@ -1078,7 +1080,7 @@ class ViewService:
                     handle.subscriptions.remove(sub)
                 except ValueError:
                     pass
-        if not live:
+        if not live and not self._keeps_delta_log:
             return
         delta = (
             delta_source() if delta_source is not None
@@ -1087,6 +1089,9 @@ class ViewService:
         if delta.is_zero():
             return
         seq_val = self._seq if seq is None else seq
+        self._log_delta(handle, relation, seq_val, delta, seqs)
+        if not live:
+            return
         # The publish span parents the downstream deliver spans (the
         # network pump reads the context off the event).
         span = self.tracer.span(
@@ -1105,6 +1110,21 @@ class ViewService:
             if sub.active:
                 sub.callback(event)
         span.finish()
+
+    #: whether :meth:`_log_delta` records deltas: if it does, every
+    #: seq's delta is computed even while nobody is subscribed
+    _keeps_delta_log = False
+
+    def _log_delta(
+        self,
+        handle: ViewHandle,
+        relation: str | None,
+        seq: int,
+        delta: GMR,
+        seqs: list[int] | None,
+    ) -> None:
+        """Record one computed delta before it is delivered; a no-op
+        here (the durable subclass appends it to its write-ahead log)."""
 
     # ------------------------------------------------------------------
     # Reads

@@ -406,10 +406,6 @@ class SegmentPool:
         self._inflight[seg.name] = seg
         return seg
 
-    def retain(self, name: str, n: int = 1) -> None:
-        """Promise the segment to ``n`` more readers."""
-        self._inflight[name].refs += n
-
     def release(self, name: str, n: int = 1) -> None:
         """Record ``n`` consumptions; recycle the segment at zero."""
         seg = self._inflight.get(name)

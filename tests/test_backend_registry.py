@@ -91,14 +91,6 @@ def test_changefeed_coalesces_between_calls():
     assert backend.last_delta().is_zero()
 
 
-def test_result_is_deprecated_alias_of_snapshot():
-    backend = create_backend("rivm-batch", SPEC)
-    backend.on_batch("R", GMR({(1, 10): 1}))
-    with pytest.warns(DeprecationWarning, match="snapshot"):
-        legacy = backend.result()
-    assert legacy == backend.snapshot()
-
-
 @pytest.mark.parametrize("name", ["rivm-batch", "rivm-specialized", "cluster"])
 def test_backend_initialize_from_loaded_database(name):
     base = Database()

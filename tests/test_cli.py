@@ -60,20 +60,6 @@ def test_run_single_tuple_mode(capsys):
     assert "Single" in capsys.readouterr().out
 
 
-def test_run_strategy_is_deprecated_alias(capsys):
-    with pytest.warns(DeprecationWarning, match="--backend"):
-        rc = main(
-            [
-                "run", "Q6", "--strategy", "reeval", "--batch-size", "50",
-                "--sf", "0.0002", "--max-batches", "2",
-            ]
-        )
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "reeval" in captured.out          # the alias still selects
-    assert "deprecated" in captured.err      # and warns loudly
-
-
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_run_rejects_non_positive_workers(workers):
     with pytest.raises(SystemExit, match=r"--workers must be at least 1"):

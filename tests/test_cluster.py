@@ -657,35 +657,3 @@ def test_cli_route_smoke():
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# The cluster harness runner
-# ----------------------------------------------------------------------
-
-
-def test_measure_cluster_throughput_micro():
-    from repro.harness import measure_cluster_throughput
-    from repro.workloads import MICRO_TABLES
-
-    result = measure_cluster_throughput(
-        [
-            ("m_join", "SELECT R.b, COUNT(*) FROM R, S "
-                       "WHERE R.b = S.b GROUP BY R.b"),
-            ("m_cnt", "SELECT b, COUNT(*) FROM R GROUP BY b"),
-        ],
-        batch_size=20,
-        workload="micro",
-        sf=0.004,
-        max_batches=16,
-        n_shards=2,
-        n_clients=2,
-        subscribers_per_view=2,
-        catalog=MICRO_TABLES,
-    )
-    assert result.n_shards == 2 and result.n_clients == 2
-    assert result.n_tuples > 0 and result.throughput > 0
-    assert "R:hash(b)" in result.placement
-    assert all(v.consistent for v in result.views), (
-        "merged deltas diverged from gathered snapshots"
-    )

@@ -700,6 +700,44 @@ def test_resumable_stream_across_server_restart(tmp_path):
         service.close()
 
 
+def test_subscribe_to_a_resetting_server_raises_net_error():
+    """A server that accepts and then drops the connection (what a
+    reconnect sees when it lands on a closing server) must surface as a
+    retryable NetError, never a raw OSError — so a ResumableStream
+    spends its reconnect budget instead of killing its consumer."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    accepted = []
+
+    def reset_every_connection():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # listener closed: test over
+            accepted.append(conn)
+            conn.close()
+
+    acceptor = threading.Thread(target=reset_every_connection, daemon=True)
+    acceptor.start()
+    client = Client(port=port, timeout=5.0)
+    try:
+        with pytest.raises(NetError) as info:
+            client.subscribe("v", timeout=5.0)
+        assert info.value.status == 0  # NetConnectError: retry-safe
+        stream = ResumableStream(client, "v", max_reconnects=3,
+                                 reconnect_delay_s=0.0, timeout=5.0)
+        with pytest.raises(NetError):
+            next(iter(stream))
+        assert stream.reconnects == 3
+        assert len(accepted) == 1 + 1 + 3
+    finally:
+        client.close()
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        listener.close()
+        acceptor.join(timeout=5)
+
+
 # ----------------------------------------------------------------------
 # kill -9 differential (the CI crash-recovery smoke tier)
 # ----------------------------------------------------------------------

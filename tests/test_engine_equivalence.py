@@ -293,17 +293,12 @@ def test_differential_engine_compiled_vs_interpreted(qname):
 
 
 def test_engines_implement_backend_interface():
-    import pytest
-
     program = compile_query(Q_TWO_WAY, "iface")
     engine = RecursiveIVMEngine(program)
     assert isinstance(engine, ExecutionBackend)
     engine.on_batch("R", GMR({(1, 10): 1}))
     engine.on_batch("S", GMR({(10, 2): 1}))
-    # The historical result() alias still answers (with a warning).
-    with pytest.warns(DeprecationWarning):
-        legacy = engine.result()
-    assert legacy == engine.snapshot()
+    assert not engine.snapshot().is_zero()
 
 
 def test_initialize_from_snapshot():

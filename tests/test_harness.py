@@ -97,7 +97,7 @@ def test_fresh_static_is_independent():
 def test_make_engine_all_strategies(strategy):
     engine = make_engine(TPCH_QUERIES["Q6"], strategy)
     assert hasattr(engine, "on_batch")
-    assert hasattr(engine, "result")
+    assert hasattr(engine, "snapshot")
 
 
 def test_make_engine_rejects_unknown_strategy():

@@ -344,32 +344,3 @@ def test_cli_serve_port_smoke(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# The network harness runner
-# ----------------------------------------------------------------------
-
-
-def test_measure_network_throughput_micro():
-    from repro.harness import ViewDef, measure_network_throughput
-    from repro.workloads import MICRO_QUERIES
-
-    result = measure_network_throughput(
-        [
-            ViewDef("m1", MICRO_QUERIES["M1"]),
-            ViewDef("m2", MICRO_QUERIES["M2"], "async:rivm-batch"),
-        ],
-        batch_size=20,
-        workload="micro",
-        sf=0.004,
-        max_batches=16,
-        n_clients=3,
-        subscribers_per_view=2,
-    )
-    assert result.n_tuples > 0 and result.n_batches > 0
-    assert result.n_clients == 3 and result.subscribers_per_view == 2
-    assert result.throughput > 0
-    assert all(v.consistent for v in result.views), (
-        "wire-accumulated deltas diverged from snapshots"
-    )
