@@ -185,7 +185,7 @@ def test_ablation_index_specialization(benchmark, name):
             title=f"Ablation — index specialization on {name}",
         )
     )
-    assert r.virtual_speedup >= 1.0, f"{name}: indexes made things worse"
+    assert r.virtual_speedup > 1.0, f"{name}: indexes saved nothing"
 
 
 #: the compiled path must be no slower than the interpreter; the

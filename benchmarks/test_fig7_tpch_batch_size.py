@@ -75,8 +75,7 @@ def test_fig7_log_panel_queries_are_the_outliers():
     Our single-tuple baseline is an interpreter (per-trigger dispatch is
     genuinely expensive), so *all* batching gains sit above the paper's
     absolute numbers; the reproducible shape is the relative ordering:
-    the log-panel queries are the outliers, by a wide margin
-    (EXPERIMENTS.md discusses the calibration).
+    the log-panel queries are the outliers, by a wide margin.
     """
     log_gains = {name: max(_sweep(name).values()) for name in LOG_PANEL}
     modest_gains = {

@@ -7,7 +7,8 @@ engine.  Headline result: recursive IVM beats re-evaluation by
 233x-14,181x and classical IVM by 120x-10,659x.
 
 Our substitutes run all three strategies on the same evaluator
-(DESIGN.md §1), so the ratios isolate the strategy exactly.  We assert
+(``reeval`` and ``civm`` stand in for the PostgreSQL baselines), so the
+ratios isolate the strategy exactly.  We assert
 the ordering re-eval < classical IVM < recursive IVM and an
 orders-of-magnitude gap at small batch sizes.
 """

@@ -47,7 +47,7 @@ def test_table1_row(benchmark, workload, name):
     spec = (TPCH_QUERIES if workload == "tpch" else TPCDS_QUERIES)[name]
 
     def run():
-        # Warm store (DESIGN.md §1): the paper's numbers reflect base
+        # Warm store: the paper's numbers reflect base
         # tables far larger than one batch; classical IVM's delta joins
         # and re-evaluation then pay realistic full-table costs.
         return strategy_matrix(

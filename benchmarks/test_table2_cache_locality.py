@@ -5,7 +5,9 @@ almost 10x more instructions than batch size 1,000, and last-level
 cache references/misses are lowest near batch size 1,000 (the U-shape
 that motivates the 1,000-10,000 "best bite size").
 
-Our substitute (DESIGN.md §1) counts virtual instructions and drives a
+Our substitute for perf counts virtual instructions (the weighted
+tuple visits, index lookups and emissions of ``repro.metrics.Counters``)
+and drives a
 two-level LRU cache simulator from the record pools' access trace; the
 bench asserts the same two shapes.
 """

@@ -93,7 +93,8 @@ def compile_query(
     ``updatable`` restricts which base relations receive triggers
     (static dimension tables need none); by default every referenced
     relation is updatable.  ``use_domain=False`` disables the
-    domain-restricted assignment delta (the ablation of DESIGN.md §8);
+    domain-restricted assignment delta (the domain-extraction ablation,
+    ``harness.domain_extraction_ablation``);
     the recompute-twice rule is still correct, just more expensive.
     """
     query = simplify(query)

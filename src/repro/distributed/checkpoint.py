@@ -1,4 +1,4 @@
-"""Checkpointing and failure recovery (paper Section 4, DESIGN.md §8).
+"""Checkpointing and failure recovery (paper Section 4).
 
 The paper's distributed runtime "naturally leverages the fault
 tolerance mechanisms of the underlying execution platform": periodic

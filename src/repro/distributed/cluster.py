@@ -1,4 +1,4 @@
-"""The simulated synchronous cluster (Spark substitute; see DESIGN.md §1).
+"""The simulated synchronous cluster (the substitute for Spark).
 
 A deterministic driver/worker simulator: the driver holds Local views,
 every worker holds its hash partition of each Dist view (or a full copy
@@ -158,7 +158,7 @@ class SimulatedCluster(ExecutionBackend):
         """
         evaluator = Evaluator(base)
         for info in self.program.local_program.views.values():
-            contents = evaluator.evaluate(info.definition)
+            contents = evaluator.materialize(info.definition)
             if contents.is_zero():
                 continue
             self.install_view(

@@ -1,4 +1,4 @@
-"""Partitioning-strategy exploration (paper Section 6.2, DESIGN.md §8).
+"""Partitioning-strategy exploration (paper Section 6.2).
 
 The paper partitions each view "on the primary key of a base table
 appearing in the view schema", picks the highest-cardinality key among

@@ -31,7 +31,7 @@ def apply_store(db, target: str, op: str, scope: str, value: GMR) -> None:
     if scope == "batch":
         db.set_delta(target, value)
     elif op == "+=":
-        db.get_view(target).add_inplace(value)
+        db.apply_update(target, value)
     else:
         db.set_view(target, GMR(dict(value.data)))
 

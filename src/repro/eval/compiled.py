@@ -13,10 +13,12 @@ This module performs all of that work once, at *lowering* time:
   comparison operators are resolved during lowering;
 * join plans — which operands are sliced through a hash index, which
   are memoized sub-evaluations, and on which bound columns — are
-  derived during lowering and hoisted out of the batch loop.  Only the
-  *contents* of slice indexes are (re)built at run time, because view
-  contents change between statements; index builds are shared across
-  the polynomial terms of one statement through the statement cache.
+  derived during lowering and hoisted out of the batch loop.  Slices of
+  materialized views probe the database's persistent indexes
+  (:meth:`~repro.eval.Database.slice_index`, maintained on write);
+  only delta relations still get an index built at run time, shared
+  across the polynomial terms of one statement through the statement
+  cache.
 
 Pipelines are database-independent: the database, counters, and the
 statement-scoped cache travel in an :class:`EvalContext`, so one lowered
@@ -76,9 +78,12 @@ _CMP_OPS = {
 class EvalContext:
     """Mutable run-time state threaded through a lowered pipeline.
 
-    ``cache`` is the statement-scoped cache (slice indexes, memoized
-    subexpression results) — the same CSE the interpreted evaluator
-    performs, shared across the polynomial terms of one statement.
+    ``cache`` is the statement-scoped cache (the slice probe each join
+    level resolved, memoized subexpression results) — the same CSE the
+    interpreted evaluator performs, shared across the polynomial terms
+    of one statement.  Probes of materialized views are references to
+    the database's persistent indexes, not copies; only delta-relation
+    slices hold an index built for the statement.
     """
 
     __slots__ = ("db", "counters", "cache")
@@ -462,35 +467,66 @@ def _make_slice_level(node, pcols, bound_positions, nxt, slot):
     """A join level served by a hash index over the bound columns.
 
     The index plan (which relation, which positions) is fixed at
-    lowering; the index contents are built lazily per statement and
-    shared across the statement's terms through the context cache.
+    lowering; at run time the level resolves a *probe* (key -> matching
+    ``(tuple, multiplicity)`` pairs) once per statement:
+
+    * every column bound: a point lookup (``contents.get``), no index;
+    * a materialized view: the database's persistent index
+      (:meth:`~repro.eval.Database.slice_index`), maintained on write,
+      so a probe visits only its bucket;
+    * a delta relation, or a view the database keeps no index for (a
+      record pool without a matching slice index): an index built from
+      the contents and shared across the statement's terms.
+
+    ``tuples_scanned`` counts the pairs each probe visits, plus the
+    contents of any index built.
     """
     name = node.name
     is_delta = isinstance(node, DeltaRel)
-    slice_key = _tuple_getter(tuple(pcols[i] for i in bound_positions))
     cache_key = ("slice", node, bound_positions)
+    point = len(bound_positions) == len(pcols)
+    if point:
+        slice_key = _tuple_getter(pcols)
+    else:
+        # A bare value for one bound column, a tuple otherwise — the
+        # key shape of the database's indexes.
+        slice_key = _itemgetter(*(pcols[i] for i in bound_positions))
+
+    def resolve(ctx):
+        db = ctx.db
+        if point:
+            get = (db.get_delta(name) if is_delta else db.get_view(name)).get
+
+            def probe(k):
+                m = get(k, None)
+                return () if m is None else ((k, m),)
+
+            return probe
+        if not is_delta:
+            probe = db.slice_index(name, bound_positions, ctx.counters)
+            if probe is not None:
+                return probe
+        contents = db.get_delta(name) if is_delta else db.get_view(name)
+        if ctx.counters is not None:
+            ctx.counters.tuples_scanned += len(contents)
+        key_of = _itemgetter(*bound_positions)
+        index = {}
+        for t, m in contents.items():
+            index.setdefault(key_of(t), []).append((t, m))
+        return lambda k: index.get(k, ())
 
     def level(ctx, env, mult, out_add, state):
-        index = state[slot]
-        if index is None:
-            index = ctx.cache.get(cache_key)
-            if index is None:
-                contents = (
-                    ctx.db.get_delta(name)
-                    if is_delta
-                    else ctx.db.get_view(name)
-                )
-                if ctx.counters is not None:
-                    ctx.counters.tuples_scanned += len(contents)
-                index = {}
-                for t, m in contents.items():
-                    k = tuple(t[i] for i in bound_positions)
-                    index.setdefault(k, []).append((t, m))
-                ctx.cache[cache_key] = index
-            state[slot] = index
+        probe = state[slot]
+        if probe is None:
+            probe = ctx.cache.get(cache_key)
+            if probe is None:
+                probe = ctx.cache[cache_key] = resolve(ctx)
+            state[slot] = probe
+        pairs = probe(slice_key(env))
         if ctx.counters is not None:
             ctx.counters.index_lookups += 1
-        for t, m in index.get(slice_key(env), ()):
+            ctx.counters.tuples_scanned += len(pairs)
+        for t, m in pairs:
             env2 = dict(env)
             for c, v in zip(pcols, t):
                 env2[c] = v

@@ -86,6 +86,16 @@ class Evaluator:
             if owns_cache:
                 self._stmt_cache = None
 
+    def materialize(self, e: Expr) -> GMR:
+        """Evaluate ``e`` into a GMR the caller owns and may write.
+
+        :meth:`evaluate` of a bare relation returns the database's own
+        GMR; installing that as a view would make the view share it with
+        the relation (and with a second view over it, as in a
+        self-join), so every write would land in all of them.
+        """
+        return GMR(dict(self.evaluate(e).data))
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------

@@ -67,7 +67,7 @@ class RecursiveIVMEngine(NativeChangefeed, ExecutionBackend):
         evaluator = Evaluator(base)
         top = self.program.top_view
         for info in self.program.views.values():
-            contents = evaluator.evaluate(info.definition)
+            contents = evaluator.materialize(info.definition)
             if info.name == top:
                 self._feed_replace(contents, self.db.get_view(top))
             self.db.set_view(info.name, contents)
@@ -104,7 +104,7 @@ class RecursiveIVMEngine(NativeChangefeed, ExecutionBackend):
             elif stmt.op == "+=":
                 if stmt.target == top:
                     self._feed_merge(value)
-                db.get_view(stmt.target).add_inplace(value)
+                db.apply_update(stmt.target, value)
             else:  # ':=' re-evaluation
                 if stmt.target == top:
                     self._feed_replace(value, db.get_view(top))

@@ -30,12 +30,30 @@ class _PoolDatabase(Database):
     Pools satisfy the GMR read surface, so the evaluator and the
     statement interpreter work unchanged; writes go through
     ``add_inplace`` / ``replace_contents`` which maintain the pools'
-    indexes (and emit the cache trace).
+    indexes (and emit the cache trace).  Compiled slices probe those
+    same pool indexes, so the trace touches only the records in the
+    probed bucket.
     """
 
     def __init__(self, pools: dict[str, RecordPool]):
         super().__init__()
         self.views.update(pools)
+
+    def slice_index(self, name, positions, counters=None):
+        """Answer from the pool's own slice index on ``positions``;
+        ``None`` (the caller builds a per-statement index) when the
+        pool has none — e.g. under ``enable_indexes=False``."""
+        pool = self.views.get(name)
+        if not isinstance(pool, RecordPool):
+            return None
+        cols = tuple(pool.cols[i] for i in positions)
+        index_id = pool.slice_index_for(frozenset(cols))
+        if index_id is None or pool.slice_index_columns[index_id] != cols:
+            return None
+        slice_ = pool.slice
+        if len(positions) == 1:
+            return lambda k: list(slice_(index_id, (k,)))
+        return lambda k: list(slice_(index_id, k))
 
     def set_view(self, name, contents) -> None:
         pool = self.views.get(name)

@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md §8).
+"""Design-choice ablations (run by ``benchmarks/test_ablations.py``).
 
 These go beyond the paper's figures: each runner isolates one of the
 system's design decisions and measures the cost of turning it off.

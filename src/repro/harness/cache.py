@@ -1,7 +1,7 @@
 """Cache-locality experiment (paper Table 2, Appendix B.2).
 
 The paper profiles TPC-H Q3 with perf counters while varying the batch
-size.  Our substitute (DESIGN.md §1) drives a two-level LRU data-cache
+size.  Our substitute for perf drives a two-level LRU data-cache
 simulator from the storage layer's record-access trace and reports the
 evaluator's virtual-instruction count in place of retired instructions.
 The quantity under study — the U-shape across batch sizes, with ~10x

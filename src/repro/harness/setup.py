@@ -20,7 +20,7 @@ from repro.workloads import QuerySpec, generate_workload, stream_batches
 
 #: every maintenance strategy the evaluation compares.  ``rivm-*`` are
 #: the paper's generated engines; ``reeval`` / ``civm`` substitute for
-#: the PostgreSQL baselines (DESIGN.md §1).
+#: the PostgreSQL baselines.
 STRATEGIES = (
     "rivm-single",
     "rivm-batch",

@@ -3,8 +3,10 @@
 Real hardware counters (Table 2 of the paper) are substituted by
 *virtual instructions* — the tuple visits, lookups, and emissions the
 engines perform — plus a two-level set-associative LRU cache simulator
-driven by the storage layer's record-access trace.  See DESIGN.md §1
-for why the substitution preserves the phenomena under study.
+driven by the storage layer's record-access trace.  Both count the
+events behind the phenomena under study — per-trigger constant work at
+small batches, and records touched per tuple — so the shapes carry over
+even though the absolute numbers do not.
 """
 
 from repro.metrics.counters import Counters

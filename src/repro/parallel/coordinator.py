@@ -626,7 +626,7 @@ class MultiprocBackend(ExecutionBackend):
         evaluator = Evaluator(base)
         computed = []
         for info in self.program.local_program.views.values():
-            contents = evaluator.evaluate(info.definition)
+            contents = evaluator.materialize(info.definition)
             if not contents.is_zero():
                 computed.append((info, contents))
         while True:

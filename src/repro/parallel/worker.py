@@ -147,8 +147,7 @@ def worker_main(conn, task) -> None:
                 # plain GMRs anyway.
                 conn.send(("ok", dict(db.views)))
             elif kind == "reset":
-                db.views.clear()
-                db.deltas.clear()
+                db.clear()
             elif kind == "sync":
                 conn.send(("ok", None))
             else:

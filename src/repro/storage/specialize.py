@@ -26,7 +26,7 @@ def build_storage(
 
     ``enable_indexes=False`` suppresses all non-unique (slice) indexes
     so slices degrade to full scans — the index-specialization ablation
-    of DESIGN.md §8.
+    (``harness.specialization_ablation``).
     """
     patterns = analyze_access_patterns(program)
     pools: dict[str, RecordPool] = {}

@@ -1,7 +1,7 @@
 """Workloads: TPC-H / TPC-DS-style schemas, data, streams, and queries.
 
 The paper evaluates on streaming-modified TPC-H and TPC-DS workloads.
-This package provides seeded synthetic equivalents (DESIGN.md §1): the
+This package provides seeded synthetic equivalents: the
 schemas keep the key relationships and value domains that drive the
 paper's effects, data generators scale table cardinalities
 proportionally, and streams are synthesized by round-robin interleaving

@@ -13,8 +13,9 @@ class QuerySpec:
 
     ``notes`` records how the query was adapted from the original SQL
     (single aggregate, integer-coded categories, substitutions for
-    MIN/MAX or OUTER JOIN); DESIGN.md §1 explains why the adaptations
-    preserve the structural properties the paper's evaluation studies.
+    MIN/MAX or OUTER JOIN).  The adaptations keep each query's join
+    graph, nesting and update relations — the structural properties
+    the paper's evaluation studies.
     """
 
     name: str
